@@ -241,7 +241,16 @@ func (s *Schedule) roll(domain byte, session string, index int) float64 {
 // session. The caller owns applying it (and therefore every returned
 // non-None kind is counted as injected). Nil-safe: returns KindNone.
 func (s *Schedule) Fate(session string, index int) Kind {
-	if s == nil || len(s.prodCum) == 0 || s.prodCum[len(s.prodCum)-1] == 0 {
+	if s == nil {
+		return KindNone
+	}
+	return s.fate(session, index)
+}
+
+// fate is Fate's enabled body, split out so the nil check inlines into
+// callers.
+func (s *Schedule) fate(session string, index int) Kind {
+	if len(s.prodCum) == 0 || s.prodCum[len(s.prodCum)-1] == 0 {
 		return KindNone
 	}
 	u := s.roll('p', session, index)
@@ -261,7 +270,17 @@ func (s *Schedule) Fate(session string, index int) Kind {
 // corrupted coordinates plus panicNow, which asks the engine to panic
 // in place of dispatching. Nil-safe: passes coordinates through.
 func (s *Schedule) Dispatch(session string, index int, x, y float64) (fx, fy float64, panicNow bool) {
-	if s == nil || len(s.dispCum) == 0 || s.dispCum[len(s.dispCum)-1] == 0 {
+	fx, fy = x, y
+	if s != nil {
+		fx, fy, panicNow = s.dispatch(session, index, x, y)
+	}
+	return
+}
+
+// dispatch is Dispatch's enabled body. Dispatch assigns through its named
+// results because that form stays within the inlining budget.
+func (s *Schedule) dispatch(session string, index int, x, y float64) (fx, fy float64, panicNow bool) {
+	if len(s.dispCum) == 0 || s.dispCum[len(s.dispCum)-1] == 0 {
 		return x, y, false
 	}
 	u := s.roll('e', session, index)
@@ -322,9 +341,15 @@ func (sc *Script) Instrument(reg *obs.Registry) {
 // Dispatch implements the engine-side hook for scripted faults; see
 // Schedule.Dispatch for the signature contract.
 func (sc *Script) Dispatch(session string, index int, x, y float64) (fx, fy float64, panicNow bool) {
-	if sc == nil {
-		return x, y, false
+	fx, fy = x, y
+	if sc != nil {
+		fx, fy, panicNow = sc.dispatch(session, index, x, y)
 	}
+	return
+}
+
+// dispatch is Dispatch's enabled body, split out like Schedule.dispatch.
+func (sc *Script) dispatch(session string, index int, x, y float64) (fx, fy float64, panicNow bool) {
 	switch sc.rules[session][index] {
 	case KindPanic:
 		sc.m.note(KindPanic)

@@ -214,8 +214,10 @@ func BenchmarkObsSpanRecord(b *testing.B) {
 // with testing.Benchmark. Timing assertions are meaningless under the
 // race detector's instrumentation (and noisy in -short environments), so
 // the test only runs in a plain `go test`; the race-gated tier-1 run
-// still executes every benchmark body once via -benchtime style
-// invocation in CI.
+// skips it and runs no benchmark bodies. The contract is enforced by
+// CI's non-race obs benchmark step, which runs this test, and by
+// TestDisabledPathInlines, which checks under any build mode that every
+// per-event entry point inlines.
 func TestDisabledPathUnderFiveNanoseconds(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing assertion is not meaningful under -race instrumentation")

@@ -64,8 +64,17 @@ func newHistogram(bounds []float64) *Histogram {
 // Observe records one value. NaN observations are ignored (a poisoned
 // measurement must not poison the sum). No-op on a nil receiver.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
+	if h == nil {
 		return
+	}
+	h.observe(v)
+}
+
+// observe is Observe's enabled body. It returns v's bucket index, or -1
+// when v is NaN and was dropped.
+func (h *Histogram) observe(v float64) int {
+	if math.IsNaN(v) {
+		return -1
 	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
@@ -73,6 +82,7 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 	h.min.updateMin(v)
 	h.max.updateMax(v)
+	return i
 }
 
 // ObserveExemplar records v exactly like Observe and additionally
@@ -84,16 +94,17 @@ func (h *Histogram) Observe(v float64) {
 // loops). Zero spanID/seq mean "no trace"/"not captured". No-op on a
 // nil receiver; NaN observations are ignored.
 func (h *Histogram) ObserveExemplar(v float64, spanID, seq uint64) {
-	if h == nil || math.IsNaN(v) {
+	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sum.add(v)
-	h.min.updateMin(v)
-	h.max.updateMax(v)
-	h.exemplars[i].Store(&Exemplar{Bucket: i, Value: v, SpanID: spanID, Seq: seq, At: time.Now().UnixNano()})
+	h.observeExemplar(v, spanID, seq)
+}
+
+// observeExemplar is ObserveExemplar's enabled body.
+func (h *Histogram) observeExemplar(v float64, spanID, seq uint64) {
+	if i := h.observe(v); i >= 0 {
+		h.exemplars[i].Store(&Exemplar{Bucket: i, Value: v, SpanID: spanID, Seq: seq, At: time.Now().UnixNano()})
+	}
 }
 
 // Count returns the number of observations; 0 on a nil receiver.

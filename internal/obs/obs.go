@@ -11,7 +11,10 @@
 //     from a nil registry. Instrumented packages therefore hold plain
 //     handles and call them unconditionally; when no registry is
 //     attached the calls cost under 5 ns each (BenchmarkObsDisabled*
-//     proves it, CI publishes the numbers in BENCH_obs.json).
+//     proves it, CI publishes the numbers in BENCH_obs.json). That
+//     holds because every exported per-event method is a nil check
+//     small enough to inline, with its enabled body in an unexported
+//     helper; TestDisabledPathInlines checks the compiler agrees.
 //
 //   - Concurrency. All instruments are safe for concurrent use from any
 //     number of goroutines without locks on the hot path: counters and
@@ -127,10 +130,18 @@ func Start(h *Histogram) time.Time {
 //
 // costs two sub-5ns calls when m.latency is nil.
 func ObserveSince(h *Histogram, start time.Time) {
-	if h == nil || start.IsZero() {
+	if h == nil {
 		return
 	}
-	h.Observe(float64(time.Since(start)))
+	h.observeSince(start)
+}
+
+// observeSince is ObserveSince's enabled body, zero-start check included.
+func (h *Histogram) observeSince(start time.Time) {
+	if start.IsZero() {
+		return
+	}
+	h.observe(float64(time.Since(start)))
 }
 
 // ObserveSinceWindowed records the elapsed nanoseconds since start into
@@ -139,7 +150,16 @@ func ObserveSince(h *Histogram, start time.Time) {
 // Like ObserveSince it is a no-op when start is the zero Time; each
 // instrument is individually nil-safe, so any subset may be attached.
 func ObserveSinceWindowed(h *Histogram, w *WindowedHistogram, start time.Time) {
-	if start.IsZero() || (h == nil && w == nil) {
+	if h == nil && w == nil {
+		return
+	}
+	observeSinceWindowed(h, w, start)
+}
+
+// observeSinceWindowed is ObserveSinceWindowed's enabled body, zero-start
+// check included.
+func observeSinceWindowed(h *Histogram, w *WindowedHistogram, start time.Time) {
+	if start.IsZero() {
 		return
 	}
 	d := float64(time.Since(start))

@@ -45,6 +45,11 @@ func (r *Ring) Emit(name, detail string) {
 	if r == nil {
 		return
 	}
+	r.emit(name, detail)
+}
+
+// emit is Emit's enabled body.
+func (r *Ring) emit(name, detail string) {
 	seq := r.next.Add(1) - 1
 	e := &Event{Seq: seq, At: time.Now().UnixNano(), Name: name, Detail: detail}
 	r.slots[seq%uint64(len(r.slots))].Store(e)

@@ -98,7 +98,7 @@ func (b *SpanBuffer) Start(name string) *Span {
 	if b == nil {
 		return nil
 	}
-	return b.StartAt(name, time.Now())
+	return b.start(name, time.Time{})
 }
 
 // StartAt begins a new root span with an explicit start time — used when
@@ -109,6 +109,11 @@ func (b *SpanBuffer) StartAt(name string, at time.Time) *Span {
 	if b == nil {
 		return nil
 	}
+	return b.start(name, at)
+}
+
+// start is the enabled body of Start and StartAt; a zero at means now.
+func (b *SpanBuffer) start(name string, at time.Time) *Span {
 	if at.IsZero() {
 		at = time.Now()
 	}
@@ -173,7 +178,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.ChildAt(name, time.Now())
+	return s.child(name, time.Time{})
 }
 
 // ChildAt begins a sub-span with an explicit start time (zero means
@@ -184,6 +189,11 @@ func (s *Span) ChildAt(name string, at time.Time) *Span {
 	if s == nil {
 		return nil
 	}
+	return s.child(name, at)
+}
+
+// child is the enabled body of Child and ChildAt; a zero at means now.
+func (s *Span) child(name string, at time.Time) *Span {
 	if at.IsZero() {
 		at = time.Now()
 	}
@@ -198,6 +208,11 @@ func (s *Span) Event(name, detail string) {
 	if s == nil {
 		return
 	}
+	s.event(name, detail)
+}
+
+// event is Event's enabled body.
+func (s *Span) event(name, detail string) {
 	now := time.Now().UnixNano()
 	r := &SpanRecord{ID: s.b.ids.Add(1), Parent: s.id, Root: s.root, Name: name, Start: now, End: now}
 	if detail != "" {
@@ -236,13 +251,21 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.EndAt(time.Now())
+	s.end(time.Time{})
 }
 
 // EndAt finishes the span at an explicit time (zero means now) and
 // publishes its record. Idempotent; no-op on a nil receiver.
 func (s *Span) EndAt(at time.Time) {
-	if s == nil || s.ended {
+	if s == nil {
+		return
+	}
+	s.end(at)
+}
+
+// end is the enabled body of End and EndAt; a zero at means now.
+func (s *Span) end(at time.Time) {
+	if s.ended {
 		return
 	}
 	s.ended = true

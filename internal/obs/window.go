@@ -133,6 +133,11 @@ func (w *WindowedCounter) Add(n int64) {
 	if w == nil {
 		return
 	}
+	w.add(n)
+}
+
+// add is Add's enabled body.
+func (w *WindowedCounter) add(n int64) {
 	epoch := w.clk.now().UnixNano() / w.slotNS
 	s := &w.slots[slotIndex(epoch, len(w.slots))]
 	s.rotate(epoch)
@@ -233,7 +238,15 @@ func (s *winHistSlot) rotate(epoch int64) {
 // Observe records one value into the current slot. NaN observations are
 // ignored. No-op on a nil receiver.
 func (w *WindowedHistogram) Observe(v float64) {
-	if w == nil || math.IsNaN(v) {
+	if w == nil {
+		return
+	}
+	w.observe(v)
+}
+
+// observe is Observe's enabled body, NaN drop included.
+func (w *WindowedHistogram) observe(v float64) {
+	if math.IsNaN(v) {
 		return
 	}
 	epoch := w.clk.now().UnixNano() / w.slotNS
